@@ -10,9 +10,10 @@
 # plus the leveled engine: L0-pressure preemption of deep merges, deferred
 # file GC against pinned iterators, and the table cache),
 # the socket Scribe transport (per-connection server threads racing the
-# acceptor and Stop; the client's serialized-RPC mutex), and the query
+# acceptor and Stop; the client's serialized-RPC mutex), the query
 # serving layer (block-parallel Scuba scans racing ingest/retention; Laser's
-# lock-free read path racing flush/compaction).
+# lock-free read path racing flush/compaction), and Laser's batched ingest
+# (Get readers racing PollOnce and LoadRows write batches).
 #
 # Usage: scripts/tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -25,12 +26,12 @@ cmake --build "$BUILD_DIR" -j --target \
   scribe_test remote_scribe_test stylus_test monitoring_test \
   parallel_pipeline_test continuous_pipeline_test chaos_test \
   observability_test lsm_concurrency_test lsm_leveled_test \
-  query_serving_test
+  query_serving_test laser_test
 
 for t in scribe_test remote_scribe_test stylus_test monitoring_test \
          parallel_pipeline_test continuous_pipeline_test chaos_test \
          observability_test lsm_concurrency_test lsm_leveled_test \
-         query_serving_test; do
+         query_serving_test laser_test; do
   echo "== TSan: $t =="
   TSAN_OPTIONS="halt_on_error=1" "$BUILD_DIR/tests/$t"
 done

@@ -121,6 +121,16 @@ std::string BinaryRowCodec::Encode(const Row& row) const {
   return out;
 }
 
+void BinaryRowCodec::EncodeColumns(const Row& row,
+                                   const std::vector<size_t>& columns,
+                                   std::string* out) const {
+  static const Value kNull;
+  PutVarint64(out, columns.size());
+  for (const size_t i : columns) {
+    EncodeValue(i < row.num_columns() ? row.Get(i) : kNull, out);
+  }
+}
+
 StatusOr<Row> BinaryRowCodec::Decode(std::string_view data) const {
   uint64_t n = 0;
   if (!GetVarint64(&data, &n)) return Status::Corruption("row: bad count");

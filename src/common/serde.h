@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
@@ -39,6 +40,11 @@ class BinaryRowCodec {
   explicit BinaryRowCodec(SchemaPtr schema) : schema_(std::move(schema)) {}
 
   std::string Encode(const Row& row) const;
+  // Appends to `*out` what Encode writes for the row made of `row`'s
+  // columns at `columns`, in that order, without building that row. A
+  // position at or past the row's width encodes NULL.
+  void EncodeColumns(const Row& row, const std::vector<size_t>& columns,
+                     std::string* out) const;
   StatusOr<Row> Decode(std::string_view data) const;
 
  private:

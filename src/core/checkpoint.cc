@@ -2,6 +2,7 @@
 
 #include "common/fault.h"
 #include "common/fs.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/serde.h"
 
@@ -158,8 +159,10 @@ Status LocalStateStore::BackupToHdfs() {
   // Latency covers the whole multi-file upload including per-file retries —
   // the figure that matters for how long a shard's backup lags its state.
   ScopedLatencyTimer timer(backup_latency);
+  std::set<std::string> uploaded;
   const Status st = db_->CreateBackup(
-      [this](const std::string& name, const std::string& contents) {
+      [this, &uploaded](const std::string& name, const std::string& contents) {
+        uploaded.insert(name);
         // Re-uploading the same file is idempotent, so per-file retry is
         // safe even when the backup dies halfway through.
         return backup_retry_->Run("hdfs.backup", [&] {
@@ -167,7 +170,28 @@ Status LocalStateStore::BackupToHdfs() {
         });
       });
   (st.ok() ? backup_completed : backup_failed)->Add();
+  if (st.ok()) DeleteStaleBackupFiles(uploaded);
   return st;
+}
+
+void LocalStateStore::DeleteStaleBackupFiles(
+    const std::set<std::string>& live) {
+  // The MANIFEST went up last, so the backup now references only `live`:
+  // anything else under the prefix is an SST compacted away since an
+  // earlier backup. A failure here only leaves garbage that the next
+  // successful backup retries.
+  auto listing = hdfs_->ListFiles(backup_prefix_);
+  if (!listing.ok()) {
+    FBSTREAM_LOG(Warning) << "hdfs backup cleanup: " << listing.status();
+    return;
+  }
+  std::vector<std::string> stale;
+  for (const std::string& name : *listing) {
+    if (live.count(name) == 0) stale.push_back(backup_prefix_ + "/" + name);
+  }
+  if (stale.empty()) return;
+  const Status st = hdfs_->DeleteFiles(stale);
+  if (!st.ok()) FBSTREAM_LOG(Warning) << "hdfs backup cleanup: " << st;
 }
 
 Status LocalStateStore::RestoreFromHdfs(hdfs::HdfsCluster* hdfs,

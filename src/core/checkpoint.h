@@ -2,6 +2,7 @@
 #define FBSTREAM_CORE_CHECKPOINT_H_
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/clock.h"
@@ -95,6 +96,10 @@ class LocalStateStore : public StateStore {
  private:
   LocalStateStore(hdfs::HdfsCluster* hdfs, std::string backup_prefix,
                   Clock* clock);
+
+  // Deletes every file under the backup prefix not named in `live` (the
+  // files the backup that just succeeded uploaded).
+  void DeleteStaleBackupFiles(const std::set<std::string>& live);
 
   hdfs::HdfsCluster* hdfs_;
   std::string backup_prefix_;

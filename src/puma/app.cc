@@ -207,9 +207,16 @@ Status PumaApp::ProcessInput(const CreateInputTableStmt& input,
             }
             const std::string shard_key =
                 out.num_columns() > 0 ? out.Get(0).ToString() : "";
-            FBSTREAM_RETURN_IF_ERROR(scribe_->WriteSharded(
+            const Status st = scribe_->WriteSharded(
                 stream->stmt->output_category, shard_key,
-                stream->codec->Encode(out)));
+                stream->codec->Encode(out));
+            if (!st.ok()) {
+              // Rewind to this message so the next poll emits its output
+              // and the rest of the batch (at-least-once: its aggregate
+              // contribution may count twice, as after a crash replay).
+              tailer.Seek(m.sequence);
+              return st;
+            }
           }
           ++rows_processed_;
           ++*processed;

@@ -29,32 +29,35 @@ std::string Bucket::SegmentPath(uint64_t base_sequence) const {
   return dir_ + buf;
 }
 
-uint64_t Bucket::Append(const std::string& payload, Micros now,
-                        uint64_t trace_id) {
+StatusOr<uint64_t> Bucket::Append(const std::string& payload, Micros now,
+                                  uint64_t trace_id) {
+  // The lock is held across the segment write and its fsync: tailers
+  // polling this bucket block on it and wake exactly when the append is
+  // published, instead of missing it and sleeping a poll interval.
   std::lock_guard<std::mutex> lock(mu_);
   Message m;
   m.sequence = base_sequence_ + messages_.size();
   m.write_time = now;
   m.payload = payload;
   m.trace_id = trace_id;
-  bytes_ += payload.size();
-  if (persist_) PersistAppendLocked(m);
+  if (persist_) FBSTREAM_RETURN_IF_ERROR(PersistAppendLocked(m));
+  bytes_ += m.payload.size();
   messages_.push_back(std::move(m));
   return base_sequence_ + messages_.size() - 1;
 }
 
-void Bucket::PersistAppendLocked(const Message& m) {
-  // Kill-mode crash point: the process can die mid-append, leaving a torn
-  // record at the segment tail for RecoverFromDisk to truncate.
-  const Status kill = FaultRegistry::Global()->Hit("scribe.segment.append");
-  if (!kill.ok()) {
-    FBSTREAM_LOG(Warning) << "scribe persist: " << kill;
-    return;
-  }
+Status Bucket::PersistAppendLocked(const Message& m) {
+  // Kill-mode crash point: the process dies before the record is written,
+  // so the append is never acknowledged. Other fault modes fail the append.
+  FBSTREAM_RETURN_IF_ERROR(
+      FaultRegistry::Global()->Hit("scribe.segment.append"));
+  FBSTREAM_RETURN_IF_ERROR(torn_);
   // Roll the active segment when full (or on first append).
-  if (segments_.empty() || segments_.back().messages >= kSegmentMessages) {
+  const bool roll =
+      segments_.empty() || segments_.back().messages >= kSegmentMessages;
+  if (roll) {
     segments_.push_back(
-        SegmentMeta{m.sequence, SegmentPath(m.sequence), m.write_time, 0});
+        SegmentMeta{m.sequence, SegmentPath(m.sequence), m.write_time, 0, 0});
     // The new segment file is born durable: its directory entry is synced
     // once the first record lands (below, when fsync_appends_), or lazily
     // by the next WriteFileAtomic in the directory otherwise.
@@ -79,9 +82,22 @@ void Bucket::PersistAppendLocked(const Message& m) {
   // Batch-boundary durability: with fsync_appends the record is on disk
   // before the append is acknowledged to the producer.
   const Status st = AppendToFile(active.path, framed, fsync_appends_);
-  if (!st.ok()) FBSTREAM_LOG(Warning) << "scribe persist: " << st;
+  if (!st.ok()) {
+    // Cut any partly written record: left mid-segment, it would make
+    // recovery truncate every acknowledged record after it.
+    const Status cut = roll ? RemoveFile(active.path)
+                            : TruncateFile(active.path, active.bytes);
+    if (!cut.ok()) {
+      FBSTREAM_LOG(Warning) << "scribe persist undo: " << cut;
+      torn_ = cut;
+    }
+    if (roll) segments_.pop_back();
+    return st;
+  }
   ++active.messages;
+  active.bytes += framed.size();
   active.newest_time = std::max(active.newest_time, m.write_time);
+  return Status::OK();
 }
 
 size_t Bucket::Read(uint64_t from_sequence, size_t max_messages, Micros now,
@@ -215,6 +231,7 @@ Status Bucket::RecoverFromDisk() {
         meta.base_sequence = seq;
         segment_first = false;
       }
+      meta.bytes = data.size() - view.size();
       Message m;
       m.sequence = seq;
       m.write_time = static_cast<Micros>(wt);
@@ -373,8 +390,7 @@ Status Scribe::Write(const std::string& category, int bucket,
   // durable, so a retried attempt cannot duplicate it.
   const Status st = retry_->Run("scribe.append", [&] {
     FBSTREAM_RETURN_IF_ERROR(FaultRegistry::Global()->Hit("scribe.append"));
-    b->Append(payload, clock_->NowMicros(), trace_id);
-    return Status::OK();
+    return b->Append(payload, clock_->NowMicros(), trace_id).status();
   });
   if (st.ok()) {
     c->append_messages()->Add();

@@ -78,9 +78,13 @@ class Bucket {
   Bucket(std::string dir, bool persist, bool fsync_appends = false);
 
   // Appends a payload; returns its sequence number. `trace_id` is nonzero
-  // only for tracer-sampled messages.
-  uint64_t Append(const std::string& payload, Micros now,
-                  uint64_t trace_id = 0);
+  // only for tracer-sampled messages. On a persisted bucket the message is
+  // published (readable, counted in next_sequence) only after its segment
+  // record is written, and fsynced when fsync_appends is set; both happen
+  // under the bucket lock. If that write fails the segment is cut back to
+  // its pre-append length, nothing is published, and the error returns.
+  StatusOr<uint64_t> Append(const std::string& payload, Micros now,
+                            uint64_t trace_id = 0);
 
   // Reads up to `max_messages` messages with sequence >= from_sequence that
   // are visible at time `now` (write_time + delivery_latency <= now).
@@ -108,10 +112,11 @@ class Bucket {
     std::string path;
     Micros newest_time = 0;
     size_t messages = 0;
+    uint64_t bytes = 0;  // File length: the end of the last whole record.
   };
 
   std::string SegmentPath(uint64_t base_sequence) const;
-  void PersistAppendLocked(const Message& m);
+  Status PersistAppendLocked(const Message& m);
 
   mutable std::mutex mu_;
   std::string dir_;
@@ -122,6 +127,10 @@ class Bucket {
   uint64_t bytes_ = 0;
   std::vector<SegmentMeta> segments_;  // Ascending base_sequence; last is
                                        // the active segment.
+  // Set when a failed append's partial record could not be cut away:
+  // recovery would truncate at it, losing anything appended after, so
+  // every later append fails with this status instead.
+  Status torn_;
 };
 
 class Category {

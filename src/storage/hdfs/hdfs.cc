@@ -97,12 +97,23 @@ StatusOr<std::string> HdfsCluster::ReadFile(const std::string& path) const {
 }
 
 Status HdfsCluster::DeleteFile(const std::string& path) {
+  return DeleteFiles({path});
+}
+
+Status HdfsCluster::DeleteFiles(const std::vector<std::string>& paths) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!available_) return Status::Unavailable("hdfs down");
-  auto it = namespace_.find(path);
-  if (it == namespace_.end()) return Status::NotFound(path);
-  const std::vector<uint64_t> blocks = it->second.block_ids;
-  namespace_.erase(it);
+  for (const std::string& path : paths) {
+    if (namespace_.count(path) == 0) return Status::NotFound(path);
+  }
+  std::vector<uint64_t> blocks;
+  for (const std::string& path : paths) {
+    auto it = namespace_.find(path);
+    if (it == namespace_.end()) continue;  // Listed twice.
+    blocks.insert(blocks.end(), it->second.block_ids.begin(),
+                  it->second.block_ids.end());
+    namespace_.erase(it);
+  }
   FBSTREAM_RETURN_IF_ERROR(PersistNamespaceLocked());
   for (const uint64_t id : blocks) {
     const Status st = RemoveFile(BlockPath(id));

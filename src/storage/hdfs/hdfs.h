@@ -40,6 +40,9 @@ class HdfsCluster {
   Status WriteFile(const std::string& path, const std::string& data);
   StatusOr<std::string> ReadFile(const std::string& path) const;
   Status DeleteFile(const std::string& path);
+  // Deletes every path under one namespace commit (one fsimage write).
+  // NotFound, deleting nothing, if any path is absent.
+  Status DeleteFiles(const std::vector<std::string>& paths);
   bool Exists(const std::string& path) const;
   // Lists immediate children (files whose path starts with `dir` + "/").
   StatusOr<std::vector<std::string>> ListFiles(const std::string& dir) const;

@@ -1,5 +1,7 @@
 #include "storage/laser/laser.h"
 
+#include <cstdint>
+
 #include "common/fs.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -10,7 +12,87 @@ namespace fbstream::laser {
 
 namespace {
 constexpr char kKeySeparator = '\x01';
+// ColumnMap position of a column the row's schema lacks.
+constexpr size_t kAbsentColumn = SIZE_MAX;
+
+// The row's value at a ColumnMap position (NULL past the row's width).
+const Value& Cell(const Row& row, size_t at) {
+  static const Value kNull;
+  return at < row.num_columns() ? row.Get(at) : kNull;
+}
+
+// One key column's bytes: the value's text form (strings verbatim).
+void AppendKeyPart(const Value& v, std::string* out) {
+  if (v.type() == ValueType::kString) {
+    *out += v.AsString();
+  } else {
+    *out += v.ToString();
+  }
+}
 }  // namespace
+
+// The lean row encoder: appends rows to one lsm::WriteBatch and commits it
+// with a single Db::Write (one writer-queue handoff and one WAL append for
+// the whole batch, instead of one per row). Key and value scratch buffers
+// are reused row to row, rows of the app's input schema use the column
+// positions resolved at Create, and the clock is read once per batch for
+// the TTL. A writer lives for one ingest call, so concurrent ingest calls
+// share no scratch state.
+class LaserApp::BatchWriter {
+ public:
+  explicit BatchWriter(LaserApp* app) : app_(app) {}
+
+  // Encodes one row into the batch; returns the batch's encoded bytes so
+  // far (key plus value, as the LSM's group cap counts them).
+  size_t Add(const Row& row) {
+    if (batch_.empty() && app_->config_.ttl_micros > 0) {
+      expire_at_ = static_cast<uint64_t>(app_->clock_->NowMicros() +
+                                         app_->config_.ttl_micros);
+    }
+    const ColumnMap& columns = ColumnsFor(row.schema());
+    key_.clear();
+    for (size_t i = 0; i < columns.key.size(); ++i) {
+      if (i > 0) key_.push_back(kKeySeparator);
+      AppendKeyPart(Cell(row, columns.key[i]), &key_);
+    }
+    // Stored value = expiry timestamp (0 = never) + encoded value row.
+    value_.clear();
+    PutVarint64(&value_, expire_at_);
+    app_->value_codec_.EncodeColumns(row, columns.value, &value_);
+    batch_.Put(key_, value_);
+    bytes_ += key_.size() + value_.size();
+    return bytes_;
+  }
+
+  size_t rows() const { return batch_.size(); }
+
+  // Writes the batch atomically (nothing when empty) and counts its rows
+  // as ingested once the write has succeeded.
+  Status Commit() {
+    FBSTREAM_RETURN_IF_ERROR(app_->db_->Write(batch_));
+    app_->rows_ingested_.fetch_add(batch_.size(), std::memory_order_relaxed);
+    batch_.Clear();
+    bytes_ = 0;
+    return Status::OK();
+  }
+
+ private:
+  // Rows normally carry the input schema; LoadRows may pass rows of another
+  // schema (a Hive table, a Presto result), resolved once per schema seen.
+  const ColumnMap& ColumnsFor(const SchemaPtr& schema) {
+    if (schema == app_->input_columns_.schema) return app_->input_columns_;
+    if (schema != other_.schema) other_ = app_->ResolveColumns(schema);
+    return other_;
+  }
+
+  LaserApp* app_;
+  lsm::WriteBatch batch_;
+  size_t bytes_ = 0;
+  uint64_t expire_at_ = 0;
+  std::string key_;
+  std::string value_;
+  ColumnMap other_;
+};
 
 LaserApp::LaserApp(LaserAppConfig config, Clock* clock)
     : config_(std::move(config)),
@@ -20,14 +102,30 @@ LaserApp::LaserApp(LaserAppConfig config, Clock* clock)
                                                    config_.name)),
       read_misses_(MetricsRegistry::Global()->GetCounter("laser.read.misses",
                                                          config_.name)) {
+  // Create has checked that every key and value column is in the schema.
+  input_columns_ = ResolveColumns(config_.input_schema);
   std::vector<Column> value_columns;
-  for (const std::string& name : config_.value_columns) {
-    const int i = config_.input_schema->IndexOf(name);
-    value_columns.push_back(config_.input_schema->column(
-        static_cast<size_t>(i < 0 ? 0 : i)));
+  for (const size_t i : input_columns_.value) {
+    value_columns.push_back(config_.input_schema->column(i));
   }
   value_schema_ = Schema::Make(std::move(value_columns));
   value_codec_ = BinaryRowCodec(value_schema_);
+}
+
+LaserApp::ColumnMap LaserApp::ResolveColumns(const SchemaPtr& schema) const {
+  const auto position = [&schema](const std::string& name) {
+    const int i = schema == nullptr ? -1 : schema->IndexOf(name);
+    return i < 0 ? kAbsentColumn : static_cast<size_t>(i);
+  };
+  ColumnMap map;
+  map.schema = schema;
+  for (const std::string& name : config_.key_columns) {
+    map.key.push_back(position(name));
+  }
+  for (const std::string& name : config_.value_columns) {
+    map.value.push_back(position(name));
+  }
+  return map;
 }
 
 StatusOr<std::unique_ptr<LaserApp>> LaserApp::Create(
@@ -64,47 +162,21 @@ StatusOr<std::unique_ptr<LaserApp>> LaserApp::Create(
   return app;
 }
 
-std::string LaserApp::EncodeKey(const std::vector<Value>& key) const {
-  std::string out;
-  EncodeKeyInto(key, &out);
-  return out;
-}
-
 void LaserApp::EncodeKeyInto(const std::vector<Value>& key,
                              std::string* out) {
   for (size_t i = 0; i < key.size(); ++i) {
     if (i > 0) out->push_back(kKeySeparator);
-    *out += key[i].ToString();
+    AppendKeyPart(key[i], out);
   }
-}
-
-Status LaserApp::ApplyRow(const Row& row) {
-  std::vector<Value> key;
-  key.reserve(config_.key_columns.size());
-  for (const std::string& col : config_.key_columns) {
-    key.push_back(row.Get(col));
-  }
-  Row value_row(value_schema_);
-  for (size_t i = 0; i < config_.value_columns.size(); ++i) {
-    value_row.Set(i, row.Get(config_.value_columns[i]));
-  }
-  // Stored value = expiry timestamp + encoded value row.
-  std::string stored;
-  const Micros expire_at =
-      config_.ttl_micros > 0 ? clock_->NowMicros() + config_.ttl_micros : 0;
-  PutVarint64(&stored, static_cast<uint64_t>(expire_at));
-  BinaryRowCodec codec(value_schema_);
-  stored += codec.Encode(value_row);
-  ++rows_ingested_;
-  return db_->Put(EncodeKey(key), stored);
 }
 
 StatusOr<size_t> LaserApp::PollOnce() {
   TextRowCodec codec(config_.input_schema);
+  BatchWriter writer(this);
   size_t applied = 0;
   for (scribe::Tailer& tailer : tailers_) {
     while (true) {
-      auto messages = tailer.Poll();
+      const std::vector<scribe::Message> messages = tailer.Poll();
       if (messages.empty()) break;
       for (const scribe::Message& m : messages) {
         auto row = codec.Decode(m.payload);
@@ -113,9 +185,17 @@ StatusOr<size_t> LaserApp::PollOnce() {
                                 << ": bad row: " << row.status();
           continue;
         }
-        FBSTREAM_RETURN_IF_ERROR(ApplyRow(*row));
-        ++applied;
+        writer.Add(*row);
       }
+      const size_t rows = writer.rows();
+      const Status st = writer.Commit();
+      if (!st.ok()) {
+        // Nothing of this poll was applied: rewind so the next PollOnce
+        // re-reads all of it instead of skipping the rest of the batch.
+        tailer.Seek(messages.front().sequence);
+        return st;
+      }
+      applied += rows;
     }
   }
   return applied;
@@ -164,17 +244,17 @@ Status LaserApp::LoadFromHive(const hive::Hive& hive, const std::string& table,
                               const std::string& ds) {
   FBSTREAM_ASSIGN_OR_RETURN(std::vector<Row> rows,
                             hive.ReadPartition(table, ds));
-  for (const Row& row : rows) {
-    FBSTREAM_RETURN_IF_ERROR(ApplyRow(row));
-  }
-  return Status::OK();
+  return LoadRows(rows);
 }
 
 Status LaserApp::LoadRows(const std::vector<Row>& rows) {
+  BatchWriter writer(this);
   for (const Row& row : rows) {
-    FBSTREAM_RETURN_IF_ERROR(ApplyRow(row));
+    if (writer.Add(row) >= lsm::kMaxGroupBytes) {
+      FBSTREAM_RETURN_IF_ERROR(writer.Commit());
+    }
   }
-  return Status::OK();
+  return writer.Commit();
 }
 
 Laser::Laser(scribe::Scribe* scribe, Clock* clock, std::string root_dir)

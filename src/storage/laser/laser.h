@@ -62,7 +62,13 @@ class LaserApp {
   const LaserAppConfig& config() const { return config_; }
 
   // Ingests all pending messages from the Scribe category (all buckets).
-  // Returns the number of rows applied.
+  // Returns the number of rows applied. Each Tailer::Poll is applied as one
+  // atomic lsm::WriteBatch: if its write fails, nothing of the poll lands,
+  // the tailer is rewound to the poll's first message, and the next call
+  // retries all of it.
+  //
+  // PollOnce belongs to one thread at a time (it advances the tailers); Get
+  // may run concurrently with any ingest call, from any number of threads.
   StatusOr<size_t> PollOnce();
 
   // Point read by key column values. Returns the value row (value columns
@@ -81,35 +87,51 @@ class LaserApp {
       const std::vector<std::vector<Value>>& keys) const;
 
   // Bulk-loads a day's partition of a Hive table (§2.5 "from any Hive table
-  // once a day"), replacing matching keys.
+  // once a day"), replacing matching keys. Same batching as LoadRows.
   Status LoadFromHive(const hive::Hive& hive, const std::string& table,
                       const std::string& ds);
 
   // Bulk-loads rows directly (e.g., a Presto query result sent to Laser,
-  // §2.7). Rows must carry the key/value columns by name.
+  // §2.7). Rows must carry the key/value columns by name. Rows are written
+  // in atomic lsm::WriteBatch chunks of about lsm::kMaxGroupBytes encoded
+  // bytes: on error, the chunks before the failing one are applied and
+  // nothing after it is.
   Status LoadRows(const std::vector<Row>& rows);
 
   uint64_t num_queries() const {
     return num_queries_.load(std::memory_order_relaxed);
   }
-  uint64_t rows_ingested() const { return rows_ingested_; }
+  // Rows whose batch write succeeded.
+  uint64_t rows_ingested() const {
+    return rows_ingested_.load(std::memory_order_relaxed);
+  }
 
  private:
+  // Positions of the key and value columns in rows of one schema, resolved
+  // by name once. A position past a row's width reads as NULL (the column
+  // is absent from that schema).
+  struct ColumnMap {
+    SchemaPtr schema;
+    std::vector<size_t> key;
+    std::vector<size_t> value;
+  };
+  class BatchWriter;
+
   LaserApp(LaserAppConfig config, Clock* clock);
 
-  std::string EncodeKey(const std::vector<Value>& key) const;
+  ColumnMap ResolveColumns(const SchemaPtr& schema) const;
   // Appends the encoded key to `*out` (which the caller has cleared) —
   // the Get path reuses a thread-local buffer instead of allocating.
   static void EncodeKeyInto(const std::vector<Value>& key, std::string* out);
-  Status ApplyRow(const Row& row);
 
   LaserAppConfig config_;
   Clock* clock_;
   SchemaPtr value_schema_;
   BinaryRowCodec value_codec_;  // Stateless; shared by all reader threads.
+  ColumnMap input_columns_;     // Against config_.input_schema.
   std::unique_ptr<lsm::Db> db_;
   std::vector<scribe::Tailer> tailers_;
-  uint64_t rows_ingested_ = 0;
+  std::atomic<uint64_t> rows_ingested_{0};
   // Reads are concurrent (the serving path takes no lock); plain counters
   // would race.
   mutable std::atomic<uint64_t> num_queries_{0};

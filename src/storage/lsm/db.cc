@@ -16,9 +16,6 @@ namespace fbstream::lsm {
 
 namespace {
 constexpr char kManifestFile[] = "MANIFEST";
-// Writer groups are capped so one giant batch cannot starve followers of
-// latency behind a single enormous fwrite.
-constexpr size_t kMaxGroupBytes = 1u << 20;
 
 // All-digits check for recovery-time filename parsing.
 bool ParseNumber(std::string_view digits, uint64_t* out) {

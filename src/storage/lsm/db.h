@@ -29,6 +29,12 @@
 
 namespace fbstream::lsm {
 
+// Writer groups are capped so one giant batch cannot starve followers of
+// latency behind a single enormous fwrite. Bulk writers (Laser loads) size
+// their batches by the same cap, counting key plus value bytes as the
+// group does.
+inline constexpr size_t kMaxGroupBytes = 1u << 20;
+
 // Embedded LSM key-value store — the RocksDB stand-in the paper's systems
 // build on (§2.5 Laser "built on top of RocksDB", §4.4.2 local state
 // saving, ZippyDB "built on top of RocksDB"). Features implemented:

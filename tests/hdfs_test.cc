@@ -60,6 +60,24 @@ TEST_F(HdfsTest, DeleteRemoves) {
   EXPECT_TRUE(hdfs.DeleteFile("/f").IsNotFound());
 }
 
+TEST_F(HdfsTest, DeleteFilesRemovesAllOrNothing) {
+  HdfsCluster hdfs(root_);
+  ASSERT_TRUE(hdfs.WriteFile("/a", "1").ok());
+  ASSERT_TRUE(hdfs.WriteFile("/b", "2").ok());
+  ASSERT_TRUE(hdfs.WriteFile("/c", "3").ok());
+  EXPECT_TRUE(hdfs.DeleteFiles({"/a", "/missing"}).IsNotFound());
+  EXPECT_TRUE(hdfs.Exists("/a"));
+  ASSERT_TRUE(hdfs.DeleteFiles({"/a", "/b"}).ok());
+  EXPECT_FALSE(hdfs.Exists("/a"));
+  EXPECT_FALSE(hdfs.Exists("/b"));
+  EXPECT_EQ(*hdfs.ReadFile("/c"), "3");
+  // The deletions are in the persisted namespace.
+  HdfsCluster reopened(root_);
+  auto names = reopened.ListFiles("");
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(*names, std::vector<std::string>{"/c"});
+}
+
 TEST_F(HdfsTest, ListFilesUnderDirectory) {
   HdfsCluster hdfs(root_);
   ASSERT_TRUE(hdfs.WriteFile("/backup/app/a.sst", "1").ok());

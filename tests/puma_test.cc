@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
+#include "common/fault.h"
 #include "common/fs.h"
 #include "common/rng.h"
 #include "common/serde.h"
@@ -529,6 +531,54 @@ TEST_F(PumaAppTest, FilterStreamEmitsToScribe) {
     emitted += messages->size();
   }
   EXPECT_EQ(emitted, 2u);
+}
+
+TEST_F(PumaAppTest, FailedStreamEmitIsRetriedByTheNextPoll) {
+  FaultRegistry::Global()->Reset();
+  scribe::CategoryConfig out;
+  out.name = "superbowl_posts";
+  ASSERT_TRUE(scribe_->CreateCategory(out).ok());
+  auto spec = ParseApp(R"(
+    CREATE APPLICATION filters;
+    CREATE INPUT TABLE posts (event_time, event, category, score)
+      FROM SCRIBE("events_stream") TIME event_time;
+    CREATE STREAM superbowl AS
+      SELECT event_time, event FROM posts
+      WHERE contains(event, 'superbowl') = 1
+      EMIT TO SCRIBE("superbowl_posts");
+  )");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto app = PumaApp::Create(std::move(spec).value(), scribe_.get(), &clock_,
+                             Options());
+  ASSERT_TRUE(app.ok()) << app.status();
+  constexpr int kEvents = 30;
+  std::set<std::string> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    const std::string event =
+        (i % 3 == 0 ? "cats " : "#superbowl ") + std::to_string(i);
+    WriteEvent(i + 1, event, "tv", 1);
+    if (i % 3 != 0) expected.insert(event);
+  }
+  // Outlast the 3-attempt append budget: the first emit fails for good.
+  FaultRegistry::Global()->FailNext("scribe.append", StatusCode::kUnavailable,
+                                    /*count=*/3);
+  EXPECT_FALSE((*app)->PollOnce().ok());
+  FaultRegistry::Global()->Reset();
+  ASSERT_TRUE((*app)->PollOnce().ok());
+
+  std::set<std::string> emitted;
+  size_t messages_out = 0;
+  for (int b = 0; b < scribe_->NumBuckets("superbowl_posts"); ++b) {
+    auto messages = scribe_->Read("superbowl_posts", b, 0, 1000);
+    ASSERT_TRUE(messages.ok());
+    messages_out += messages->size();
+    for (const scribe::Message& m : *messages) {
+      emitted.insert(m.payload.substr(m.payload.find('\t') + 1));
+    }
+  }
+  EXPECT_EQ(emitted, expected);
+  // The failed emit never landed, so its retry is not a duplicate.
+  EXPECT_EQ(messages_out, expected.size());
 }
 
 TEST_F(PumaAppTest, ServiceReviewGateDeploysApps) {

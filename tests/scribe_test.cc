@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <set>
 #include <thread>
 
@@ -488,6 +491,92 @@ TEST(ScribeCorruptionTest, CorruptionDropsLaterSegments) {
   files = ListDir(root + "/seg/bucket-0");
   ASSERT_TRUE(files.ok());
   EXPECT_EQ(files->size(), 1u);  // Post-corruption segment deleted.
+  ASSERT_TRUE(RemoveAll(root).ok());
+}
+
+TEST(ScribeAppendFailureTest, SegmentFaultFailsTheWriteAndPublishesNothing) {
+  FaultRegistry::Global()->Reset();
+  const std::string root = MakeTempDir("scribe_append_fault");
+  SimClock clock(1);
+  CategoryConfig config;
+  config.name = "seg";
+  config.persist_to_disk = true;
+  {
+    Scribe scribe(&clock, root);
+    ASSERT_TRUE(scribe.CreateCategory(config).ok());
+    ASSERT_TRUE(scribe.Write("seg", 0, "m0").ok());
+    FaultRegistry::Global()->FailNext("scribe.segment.append",
+                                      StatusCode::kIoError);
+    EXPECT_EQ(scribe.Write("seg", 0, "unacked").code(), StatusCode::kIoError);
+    FaultRegistry::Global()->Reset();
+    auto next = scribe.NextSequence("seg", 0);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*next, 1u);
+    EXPECT_EQ(ReadAllPayloads(&scribe), (std::vector<std::string>{"m0"}));
+    ASSERT_TRUE(scribe.Write("seg", 0, "m1").ok());
+    ASSERT_TRUE(scribe.Write("seg", 0, "m2").ok());
+  }
+  Scribe scribe(&clock, root);
+  ASSERT_TRUE(scribe.CreateCategory(config).ok());
+  auto msgs = scribe.Read("seg", 0, 0, 10);
+  ASSERT_TRUE(msgs.ok());
+  ASSERT_EQ(msgs->size(), 3u);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ((*msgs)[i].sequence, i);
+    EXPECT_EQ((*msgs)[i].payload, "m" + std::to_string(i));
+  }
+  ASSERT_TRUE(RemoveAll(root).ok());
+}
+
+// A real short write: a file-size limit on this process lets only part of
+// a record reach the segment. The append fails, the partial record is cut
+// away, and acknowledged appends after it survive recovery.
+TEST(ScribeAppendFailureTest, PartialRecordIsCutSoLaterAppendsSurviveRecovery) {
+  const std::string root = MakeTempDir("scribe_short_write");
+  const std::string segment = root + "/seg/bucket-0/segment-000000000000.log";
+  SimClock clock(1);
+  CategoryConfig config;
+  config.name = "seg";
+  config.persist_to_disk = true;
+  {
+    Scribe scribe(&clock, root);
+    ASSERT_TRUE(scribe.CreateCategory(config).ok());
+    ASSERT_TRUE(scribe.Write("seg", 0, "m0").ok());
+    auto intact = FileSize(segment);
+    ASSERT_TRUE(intact.ok());
+    {
+      // Restores the limit and SIGXFSZ's disposition on every exit path.
+      struct FileSizeLimit {
+        explicit FileSizeLimit(rlim_t bytes) {
+          getrlimit(RLIMIT_FSIZE, &saved);
+          old_handler = std::signal(SIGXFSZ, SIG_IGN);
+          rlimit limit = saved;
+          limit.rlim_cur = bytes;
+          ok = setrlimit(RLIMIT_FSIZE, &limit) == 0;
+        }
+        ~FileSizeLimit() {
+          setrlimit(RLIMIT_FSIZE, &saved);
+          std::signal(SIGXFSZ, old_handler);
+        }
+        rlimit saved{};
+        void (*old_handler)(int) = SIG_DFL;
+        bool ok = false;
+      } limit(static_cast<rlim_t>(*intact + 5));
+      ASSERT_TRUE(limit.ok);
+      EXPECT_EQ(scribe.Write("seg", 0, std::string(100, 'x')).code(),
+                StatusCode::kIoError);
+    }
+    auto size = FileSize(segment);
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(*size, *intact);
+    auto next = scribe.NextSequence("seg", 0);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*next, 1u);
+    ASSERT_TRUE(scribe.Write("seg", 0, "m1").ok());
+  }
+  Scribe scribe(&clock, root);
+  ASSERT_TRUE(scribe.CreateCategory(config).ok());
+  EXPECT_EQ(ReadAllPayloads(&scribe), (std::vector<std::string>{"m0", "m1"}));
   ASSERT_TRUE(RemoveAll(root).ok());
 }
 

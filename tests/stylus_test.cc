@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/fs.h"
 #include "common/hll.h"
 #include "common/rng.h"
@@ -402,6 +404,52 @@ TEST_F(StateStoreTest, HdfsBackupAndMachineLossRestore) {
   ASSERT_TRUE(cp.ok());
   EXPECT_EQ(cp->state, "precious");
   EXPECT_EQ(cp->offset, 99u);
+}
+
+TEST_F(StateStoreTest, BackupPrefixHoldsOnlyTheLiveFiles) {
+  hdfs::HdfsCluster hdfs(dir_ + "/hdfs");
+  auto store = LocalStateStore::Open(dir_ + "/s", &hdfs, "backup/app");
+  ASSERT_TRUE(store.ok());
+  // Each backup flushes a new L0 SST; compactions retire older ones.
+  constexpr int kBackups = 12;
+  for (int i = 0; i < kBackups; ++i) {
+    ASSERT_TRUE((*store)
+                    ->SaveCheckpoint(StateSemantics::kExactlyOnce,
+                                     "state-" + std::to_string(i),
+                                     static_cast<uint64_t>(i), nullptr)
+                    .ok());
+    ASSERT_TRUE((*store)->BackupToHdfs().ok());
+  }
+  // Settle the file set, then back up once more: the prefix must list
+  // exactly what a backup of the DB holds now.
+  ASSERT_TRUE((*store)->db()->CompactAll().ok());
+  ASSERT_TRUE((*store)->BackupToHdfs().ok());
+  std::vector<std::string> live;
+  ASSERT_TRUE((*store)
+                  ->db()
+                  ->CreateBackup([&live](const std::string& name,
+                                         const std::string&) {
+                    live.push_back(name);
+                    return Status::OK();
+                  })
+                  .ok());
+  auto listed = hdfs.ListFiles("backup/app");
+  ASSERT_TRUE(listed.ok());
+  std::sort(live.begin(), live.end());
+  std::sort(listed->begin(), listed->end());
+  EXPECT_EQ(*listed, live);
+
+  // The trimmed backup still restores the latest state.
+  store->reset();
+  ASSERT_TRUE(RemoveAll(dir_ + "/s").ok());
+  ASSERT_TRUE(
+      LocalStateStore::RestoreFromHdfs(&hdfs, "backup/app", dir_ + "/s").ok());
+  auto restored = LocalStateStore::Open(dir_ + "/s", &hdfs, "backup/app");
+  ASSERT_TRUE(restored.ok());
+  auto cp = (*restored)->Load();
+  ASSERT_TRUE(cp.ok());
+  EXPECT_EQ(cp->state, "state-" + std::to_string(kBackups - 1));
+  EXPECT_EQ(cp->offset, static_cast<uint64_t>(kBackups - 1));
 }
 
 TEST_F(StateStoreTest, BackupSkippedWhenHdfsDown) {
